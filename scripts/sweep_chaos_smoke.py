@@ -9,8 +9,8 @@ of the same spec:
    directive kills a worker mid-run; the healed run must be
    bit-identical, the respawned pool must have reattached the
    parent's segments, ``/dev/shm`` must be empty afterwards, and a
-   ``REPRO_SWEEP_SHM=0`` control must run the same grid without
-   exporting anything.
+   ``shm=False`` control must run the same grid without exporting
+   anything.
 
 1. **kill leg** -- a six-cell grid runs with ``jobs=2`` and a chaos
    directive (``REPRO_SWEEP_CHAOS=kill:cell4``) that makes the worker
@@ -133,16 +133,10 @@ def shm_leg(spec, reference) -> None:
         "with no /dev/shm residue"
     )
 
-    os.environ["REPRO_SWEEP_SHM"] = "0"
-    try:
-        control = run_sweep(spec, jobs=2, chunk_size=2)
-    finally:
-        del os.environ["REPRO_SWEEP_SHM"]
+    control = run_sweep(spec, jobs=2, chunk_size=2, shm=False)
     check_identical(control, reference, "shm leg (disabled control)")
-    assert control.shm_segments == 0, (
-        "REPRO_SWEEP_SHM=0 still exported segments"
-    )
-    print("ok: REPRO_SWEEP_SHM=0 control matched on the pickled path")
+    assert control.shm_segments == 0, "shm=False still exported segments"
+    print("ok: shm=False control matched on the pickled path")
 
 
 def kill_leg(spec, reference, workdir: pathlib.Path) -> None:

@@ -9,7 +9,6 @@ from .bgp import (
     RouteClass,
     RoutingTable,
     Scope,
-    delta_enabled,
     propagate,
     propagate_delta,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "TopologyConfig",
     "build_internet_graph",
     "build_topology",
-    "delta_enabled",
     "dump_as_rel2",
     "generate_as_rel2",
     "load_as_rel2",

@@ -11,59 +11,33 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import MutableMapping
 
 from .asgraph import ASGraph
-from .bgp import (
-    Origin,
-    RoutingTable,
-    delta_enabled,
-    propagate,
-    propagate_delta,
-)
+from .bgp import Origin, RoutingTable, propagate, propagate_delta
 
-#: Default bound of the per-prefix routing-table cache.  Policy loops
-#: cycle through a handful of announcement states, but fault-injected
-#: runs (BgpSessionReset flapping different sites every bin) can visit
+#: Bound of each prefix's routing-table cache.  Policy loops cycle
+#: through a handful of announcement states, but fault-injected runs
+#: (BgpSessionReset flapping different sites every bin) can visit
 #: arbitrarily many distinct states; an unbounded cache would retain
 #: every table for the life of a sweep worker.
-DEFAULT_CACHE_SIZE = 64
-
-#: Bound of a shared (substrate-level) routing memo, when attached.
-#: Larger than the per-prefix LRU because it serves every letter of a
-#: substrate across sweep cells.
-DEFAULT_MEMO_SIZE = 256
+CACHE_SIZE = 64
 
 #: Cache-path instrumentation, for tests and benchmarks: how routing()
-#: requests were served.  ``delta_derived`` counts computes that went
-#: through :func:`~repro.netsim.bgp.propagate_delta` (the call itself
-#: may still fall back internally; see
-#: :data:`~repro.netsim.bgp.DELTA_STATS`).
+#: requests were served.  Every compute that went through
+#: :func:`~repro.netsim.bgp.propagate_delta` ends as exactly one of
+#: :data:`~repro.netsim.bgp.DELTA_STATS` ``delta``, ``fallback`` or
+#: ``ripple_bailouts``.
 PREFIX_CACHE_STATS: dict[str, int] = {
     "lru_hits": 0,
-    "memo_hits": 0,
     "computes": 0,
-    "delta_derived": 0,
 }
 
 #: Below this graph size :meth:`AnycastPrefix._compute` skips the
 #: delta path: on scenario-scale graphs (~1 k nodes) a full propagation
-#: costs 1-5 ms while hunting for a base plus replaying its trace costs
-#: more than it saves; the replay only pays for itself on the as-rel2
-#: internet-scale graphs (50 k+ nodes).  The cutoff is a pure speed
-#: heuristic -- both paths produce bit-identical tables.
+#: costs 1-5 ms while replaying a base table's trace costs more than it
+#: saves; the replay only pays for itself on larger graphs.  The cutoff
+#: is a pure speed heuristic -- both paths produce bit-identical tables.
 DELTA_MIN_NODES = 4096
-
-
-def _state_distance(key_a: tuple, key_b: tuple) -> int:
-    """How many announce/withdraw/block edits separate two state keys."""
-    announced_a, announced_b = key_a[0], key_b[0]
-    distance = len(announced_a ^ announced_b)
-    blocked_b = dict(key_b[1])
-    for site, blocked in key_a[1]:
-        if site in blocked_b and blocked_b[site] != blocked:
-            distance += 1
-    return distance
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,16 +51,9 @@ class RouteChangeRecord:
 class AnycastPrefix:
     """The announcement state of one anycast service (one letter)."""
 
-    def __init__(
-        self,
-        graph: ASGraph,
-        origins: list[Origin],
-        cache_size: int = DEFAULT_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, graph: ASGraph, origins: list[Origin]) -> None:
         if not origins:
             raise ValueError("an anycast prefix needs at least one origin")
-        if cache_size < 1:
-            raise ValueError("cache_size must be at least 1")
         sites = [o.site for o in origins]
         if len(set(sites)) != len(sites):
             raise ValueError("duplicate site ids among origins")
@@ -97,33 +64,8 @@ class AnycastPrefix:
             o.site: o.blocked_neighbors for o in origins
         }
         self._cache: OrderedDict[tuple, RoutingTable] = OrderedDict()
-        self._cache_size = cache_size
         self._current: RoutingTable | None = None
         self._change_log: list[RouteChangeRecord] = []
-        self._shared_memo: MutableMapping[tuple, RoutingTable] | None = None
-        self._memo_label: object = None
-        self._memo_size = DEFAULT_MEMO_SIZE
-
-    def attach_shared_memo(
-        self,
-        memo: MutableMapping[tuple, RoutingTable],
-        label: object,
-        memo_size: int = DEFAULT_MEMO_SIZE,
-    ) -> None:
-        """Share *memo* as a second-level routing-table cache.
-
-        The memo outlives this prefix's bounded LRU (and
-        :meth:`reset`), so sweep cells that revisit an announcement
-        state after eviction -- or after the substrate was handed to a
-        different cell -- reuse the table instead of recomputing.
-        Entries are keyed ``(label, state_key)``; *label* namespaces
-        prefixes (letters) sharing one memo.  Reuse is output-invariant
-        for the same reason LRU eviction is: tables are pure functions
-        of graph + announcement state.
-        """
-        self._shared_memo = memo
-        self._memo_label = label
-        self._memo_size = memo_size
 
     @property
     def sites(self) -> list[str]:
@@ -153,7 +95,9 @@ class AnycastPrefix:
             raise KeyError(f"unknown site {site!r}")
         return self._blocked[site]
 
-    def _state_key(self) -> tuple:
+    def state_key(self) -> tuple:
+        """Hashable key of the current announcement state: announced
+        sites and their blocked-neighbor sets."""
         announced = self.announced_sites()
         return (
             announced,
@@ -171,33 +115,24 @@ class AnycastPrefix:
         until the next announce / withdraw / block change, making
         per-bin ``routing()`` calls O(1).
 
-        The cache is a bounded LRU (*cache_size* states): recomputing
-        an evicted state yields a table with identical routes but a
-        fresh ``version``, so downstream version-keyed caches recompute
-        the same derived values -- eviction never changes outputs.
+        The cache is a bounded LRU (:data:`CACHE_SIZE` states) that
+        survives :meth:`reset`: recomputing an evicted state yields a
+        table with identical routes but a fresh ``version``, so
+        downstream version-keyed caches recompute the same derived
+        values -- eviction never changes outputs.
         """
         if self._current is not None:
             return self._current
-        key = self._state_key()
+        key = self.state_key()
         table = self._cache.get(key)
         if table is not None:
             PREFIX_CACHE_STATS["lru_hits"] += 1
             self._cache.move_to_end(key)
         else:
-            memo = self._shared_memo
-            if memo is not None:
-                table = memo.get((self._memo_label, key))
-            if table is not None:
-                PREFIX_CACHE_STATS["memo_hits"] += 1
-            else:
-                table = self._compute(key)
-                PREFIX_CACHE_STATS["computes"] += 1
-                if memo is not None:
-                    memo[(self._memo_label, key)] = table
-                    while len(memo) > self._memo_size:
-                        memo.pop(next(iter(memo)))
+            table = self._compute(key)
+            PREFIX_CACHE_STATS["computes"] += 1
             self._cache[key] = table
-            if len(self._cache) > self._cache_size:
+            while len(self._cache) > CACHE_SIZE:
                 self._cache.popitem(last=False)
         self._current = table
         return table
@@ -205,13 +140,14 @@ class AnycastPrefix:
     def _compute(self, key: tuple) -> RoutingTable:
         """Propagate the state *key* describes, via delta if possible.
 
-        Any cached table works as a delta base --
+        The base of a delta is the last table :meth:`routing` returned,
+        which is the most recent entry of the cache: the state the
+        prefix is leaving, one announce / withdraw / block edit away.
         :func:`~repro.netsim.bgp.propagate_delta` is bit-identical to
-        full propagation whatever it starts from -- so the base choice
-        (nearest by announce/withdraw/block edit distance, most
-        recently used winning ties) only affects speed, never output.
-        Graphs smaller than :data:`DELTA_MIN_NODES` always propagate
-        in full: at that scale the replay costs more than it saves.
+        full propagation whatever it starts from, so the base only
+        affects speed, never output.  Graphs smaller than
+        :data:`DELTA_MIN_NODES` always propagate in full: at that scale
+        the replay costs more than it saves.
         """
         origins = [
             self._origins[s].with_blocked(self._blocked[s])
@@ -219,14 +155,15 @@ class AnycastPrefix:
         ]
         if not origins:
             return RoutingTable({})
-        base = (
-            self._nearest_base(key)
-            if delta_enabled() and len(self.graph) >= DELTA_MIN_NODES
-            else None
-        )
-        if base is None:
+        if not self._cache or len(self.graph) < DELTA_MIN_NODES:
             return propagate(self.graph, origins)
-        base_key, base_table = base
+        base_key, base_table = next(reversed(self._cache.items()))
+        arrays = base_table._arrays
+        if arrays is None or arrays.trace is None:
+            # Dict-backed or trace-less tables (the reference
+            # implementation, deserialized fixtures, the empty table)
+            # cannot seed a replay.
+            return propagate(self.graph, origins)
         withdraw = sorted(base_key[0] - key[0])
         base_blocked = dict(base_key[1])
         announce = [
@@ -235,41 +172,10 @@ class AnycastPrefix:
             if s not in base_key[0]
             or base_blocked[s] != self._blocked[s]
         ]
-        PREFIX_CACHE_STATS["delta_derived"] += 1
         return propagate_delta(
             self.graph, base_table,
             announce=announce, withdraw=withdraw,
         )
-
-    def _nearest_base(
-        self, key: tuple
-    ) -> tuple[tuple, RoutingTable] | None:
-        """The cached state closest to *key*, to derive it from."""
-        best: tuple[tuple, RoutingTable] | None = None
-        best_distance = 0
-        candidates: list[tuple[tuple, RoutingTable]] = [
-            (k, t) for k, t in reversed(self._cache.items())
-        ]
-        if self._shared_memo is not None:
-            candidates.extend(
-                (k[1], t)
-                for k, t in reversed(self._shared_memo.items())
-                if k[0] == self._memo_label
-            )
-        for base_key, table in candidates:
-            if not base_key[0]:
-                continue  # empty table: no trace to replay
-            arrays = table._arrays
-            if arrays is None or arrays.trace is None:
-                # Dict-backed or trace-less tables (the reference
-                # implementation, deserialized fixtures) cannot seed a
-                # replay; they are simply never picked as a base.
-                continue
-            distance = _state_distance(base_key, key)
-            if best is None or distance < best_distance:
-                best = (base_key, table)
-                best_distance = distance
-        return best
 
     def set_announced(self, site: str, up: bool, timestamp: float) -> bool:
         """Announce or withdraw *site*; log the routing delta.

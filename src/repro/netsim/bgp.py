@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from ..util.env import BGP_DELTA, env_flag
 from ..util.geo import Location, haversine_km
 from .asgraph import ASGraph, CompiledGraph
 
@@ -1089,18 +1088,6 @@ DELTA_STATS: dict[str, int] = {
     "levels_replayed": 0,
 }
 
-
-def delta_enabled() -> bool:
-    """Whether callers may derive tables via :func:`propagate_delta`.
-
-    ``REPRO_BGP_DELTA=0`` is the escape hatch that forces every
-    consumer (:class:`~repro.netsim.anycast.AnycastPrefix`, sweep
-    memoization) back to full propagation.  Read per call so tests can
-    flip it with ``monkeypatch.setenv``.  The delta path is
-    bit-identical either way; the knob exists to isolate it when
-    debugging.
-    """
-    return env_flag(BGP_DELTA, default=True)
 
 #: Record-forest growth bound (multiple of node count) beyond which a
 #: chained delta falls back to full propagation instead of appending to

@@ -260,7 +260,9 @@ class _RunState:
     workloads: dict[str, BaselineWorkload]
     truth: dict[str, LetterTruth]
     epoch_catchments: dict[str, list[np.ndarray]]
-    epoch_cache: dict[tuple[str, int], _EpochData]
+    #: Keyed ``(letter, table.version)`` for the per-bin lookup and
+    #: ``(letter, announcement-state key)`` for first visits.
+    epoch_cache: dict[tuple[str, object], _EpochData]
     accumulators: dict[str, dict[str, DayAccumulator]]
     day_dates: list[str]
     buffer_caps: dict[str, np.ndarray]
@@ -277,12 +279,20 @@ def _epoch_for(
 
     Cache misses append the epoch's stub catchment and assign the next
     epoch index, so epoch numbering follows each letter's first-visit
-    order exactly as the original inline code did.
+    order exactly as the original inline code did.  A state whose
+    table was evicted from the prefix's routing cache and recomputed
+    comes back with a fresh ``version`` but identical routes; the
+    state-key lookup maps it to its first epoch, so numbering does not
+    depend on the routing cache's bound.
     """
     dep = state.deployments[letter]
     table = dep.routing()
     key = (letter, table.version)
     ed = state.epoch_cache.get(key)
+    if ed is not None:
+        return table, ed
+    state_key = (letter, dep.prefix.state_key())
+    ed = state.epoch_cache.get(state_key)
     if ed is None:
         legit_share, legit_total = legit_share_vector(
             table, state.topology.stub_asns, dep.site_index
@@ -298,7 +308,8 @@ def _epoch_for(
         state.epoch_catchments[letter].append(
             table.sites_of(state.topology.stub_asns, dep.site_index)
         )
-        state.epoch_cache[key] = ed
+        state.epoch_cache[state_key] = ed
+    state.epoch_cache[key] = ed
     return table, ed
 
 
@@ -542,14 +553,6 @@ class Substrate:
     vps: VantagePointTable
     botnet: Botnet
     collectors: BgpCollectors
-    #: Substrate-level routing memo, shared by every letter's prefix
-    #: (keyed ``(letter, announcement-state key)``).  Survives prefix
-    #: LRU eviction and :meth:`reset`, so sweep cells that differ only
-    #: in attack knobs reuse each other's routing tables -- and give
-    #: the delta path nearby base states to derive new ones from.
-    routing_memo: dict[tuple, "RoutingTable"] = field(
-        default_factory=dict
-    )
 
     def reset(self) -> None:
         """Restore every mutable piece to its post-construction state."""
@@ -656,10 +659,6 @@ def build_substrate(config: ScenarioConfig) -> Substrate:
         botnet=botnet,
         collectors=collectors,
     )
-    for letter in letters:
-        deployments[letter].prefix.attach_shared_memo(
-            substrate.routing_memo, letter
-        )
     # Under REPRO_SANITIZE=1 the constant arrays every run shares are
     # locked read-only, so an in-place mutation raises at the write
     # site instead of corrupting a sibling sweep cell.

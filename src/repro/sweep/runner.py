@@ -61,7 +61,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from ..util.env import SWEEP_SHM, env_flag
 from .aggregate import CellSummary, summarize
 from .checkpoint import CheckpointWriter, load_checkpoint, resume_command
 from .shm import (
@@ -559,7 +558,7 @@ def run_sweep(
     max_retries: int = 2,
     cell_timeout_s: float | None = None,
     backoff_base_s: float = 0.5,
-    shm: bool | None = None,
+    shm: bool = True,
 ) -> SweepResult:
     """Run every cell of *spec* and fold replicates into summaries.
 
@@ -572,8 +571,7 @@ def run_sweep(
     On the pool path, substrates whose signature is shared by two or
     more cells are built once in the parent and exported to
     shared-memory segments that workers attach zero-copy
-    (:mod:`repro.sweep.shm`); *shm* forces the layer on/off, and the
-    default defers to ``REPRO_SWEEP_SHM`` (on unless set to ``0``).
+    (:mod:`repro.sweep.shm`); ``shm=False`` turns the layer off.
     The layer is transport-only -- outputs are bit-identical with it
     on, off, or falling back mid-run.
 
@@ -653,15 +651,9 @@ def run_sweep(
             if jobs == 1:
                 _run_serial(sup, chunk_size, backoff_base_s)
             else:
-                shm_enabled = (
-                    env_flag(SWEEP_SHM, default=True)
-                    if shm is None
-                    else shm
-                )
                 _run_pool(
                     sup, jobs, chunk_size, start_method,
-                    cell_timeout_s, backoff_base_s, checkpoint_path,
-                    shm_enabled,
+                    cell_timeout_s, backoff_base_s, checkpoint_path, shm,
                 )
         except KeyboardInterrupt:
             sup.stop_signal = sup.stop_signal or "SIGINT"

@@ -15,7 +15,7 @@ routing table from scratch.  This module removes that tax:
   :func:`~repro.scenario.engine.substrate_constant_arrays` -- is
   copied once into a single ``multiprocessing.shared_memory`` segment.
   The remaining object skeleton (deployments, announcement state,
-  graph adjacency, warm routing memo) is pickled *into the same
+  graph adjacency, warm routing caches) is pickled *into the same
   segment* with every constant array replaced by a persistent-id
   token, so no array bytes travel through the pickle stream.
 
@@ -49,9 +49,8 @@ Attachment is best-effort: a worker that fails to map a segment falls
 back to building the substrate from the cell's config (counted in
 :data:`SHM_STATS`), which is bit-identical by the substrate-reuse
 contract -- shared memory is a transport optimization and must never
-be a correctness dependency.  ``REPRO_SWEEP_SHM=0`` (via
-:mod:`repro.util.env`) disables the whole layer, restoring the
-per-worker rebuild path.
+be a correctness dependency.  ``run_sweep(..., shm=False)`` disables
+the whole layer, restoring the per-worker rebuild path.
 """
 
 from __future__ import annotations

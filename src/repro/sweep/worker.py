@@ -2,12 +2,13 @@
 
 Each worker process keeps a small cache of
 :class:`~repro.scenario.engine.Substrate` objects keyed by
-:func:`~repro.scenario.engine.substrate_signature`: consecutive cells
-that differ only in run-time knobs (events, overload model,
-controllers, faults) reuse the expensive topology/deployment/VP build
-instead of repeating it.  Substrate reuse is bit-identical to a fresh
-build (``tests/scenario/test_substrate.py``), so caching cannot change
-any output.
+:func:`~repro.scenario.engine.substrate_signature`, whether built
+locally or attached from shared memory: consecutive cells that differ
+only in run-time knobs (events, overload model, controllers, faults)
+reuse the expensive topology/deployment/VP build instead of repeating
+it.  Substrate reuse is bit-identical to a fresh build
+(``tests/scenario/test_substrate.py``), so caching cannot change any
+output.
 
 Fault-stream isolation: each cell's ``FaultPlan`` is resolved inside
 :func:`~repro.scenario.engine.simulate` from a fresh
@@ -55,19 +56,22 @@ if TYPE_CHECKING:
     from ..scenario.engine import ScenarioResult
     from .spec import SweepCell
 
-#: Per-process substrate cache; signature -> substrate.  Bounded: a
-#: chunk walks cells in index order, so only the most recent
-#: signatures are worth keeping.
-_SUBSTRATE_CACHE: dict[tuple[object, ...], Substrate] = {}
-_CACHE_MAX = 4
-
-#: Per-process attached-segment cache; manifest digest -> (segment,
-#: substrate view).  Same FIFO bound as the build cache.  Eviction
-#: only drops the references -- it must NOT ``close()`` the segment,
-#: because live numpy views over its buffer would raise
+#: Per-process substrate cache; signature -> (attached segment, or
+#: ``None`` for a local build; substrate).  A FIFO bounded by
+#: ``_CACHE_MAX``: a chunk walks cells in index order, so only the
+#: most recent signatures are worth keeping.  Keying attached
+#: substrates by signature is exact because :func:`init_worker` empties
+#: the cache in every new worker and a pool lives inside one
+#: ``run_sweep``, where signatures and manifests map one to one.
+#: Eviction only drops the references -- it must NOT ``close()`` a
+#: segment, because live numpy views over its buffer would raise
 #: ``BufferError``; the mapping goes away when the views do, and the
 #: parent owns the unlink.
-_SHM_CACHE: dict[str, tuple[shared_memory.SharedMemory, Substrate]] = {}
+_SUBSTRATE_CACHE: dict[
+    tuple[object, ...],
+    tuple[shared_memory.SharedMemory | None, Substrate],
+] = {}
+_CACHE_MAX = 4
 
 #: signature -> manifest routing table for the current task, installed
 #: by :func:`run_cells` for the duration of one task.
@@ -116,31 +120,22 @@ def init_worker() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _SUBSTRATE_CACHE.clear()
-    _SHM_CACHE.clear()
     _MANIFESTS.clear()
-
-
-def _shared_substrate_for(manifest: SubstrateManifest) -> Substrate:
-    """Substrate view for *manifest*, attached at most once per
-    process (keyed by content digest, so a pool respawn or segment
-    re-export of identical content still hits the cache)."""
-    cached = _SHM_CACHE.get(manifest.digest)
-    if cached is not None:
-        return cached[1]
-    shm, substrate = attach_substrate(manifest)
-    SHM_STATS["attach"] += 1
-    while len(_SHM_CACHE) >= _CACHE_MAX:
-        _SHM_CACHE.pop(next(iter(_SHM_CACHE)))
-    _SHM_CACHE[manifest.digest] = (shm, substrate)
-    return substrate
 
 
 def _substrate_for(cell: SweepCell) -> Substrate:
     signature = substrate_signature(cell.config)
+    cached = _SUBSTRATE_CACHE.get(signature)
+    if cached is not None:
+        segment, substrate = cached
+        if segment is not None:
+            SHM_STATS["cell"] += 1
+        return substrate
+    segment = None
     manifest = _MANIFESTS.get(signature)
     if manifest is not None:
         try:
-            substrate = _shared_substrate_for(manifest)
+            segment, substrate = attach_substrate(manifest)
         except Exception:
             # Shared memory is a transport optimization, never a
             # correctness dependency: any attach failure (segment gone,
@@ -149,14 +144,13 @@ def _substrate_for(cell: SweepCell) -> Substrate:
             # substrate-reuse contract.
             SHM_STATS["fallback"] += 1
         else:
+            SHM_STATS["attach"] += 1
             SHM_STATS["cell"] += 1
-            return substrate
-    substrate = _SUBSTRATE_CACHE.get(signature)
-    if substrate is None:
+    if segment is None:
         substrate = build_substrate(cell.config)
-        while len(_SUBSTRATE_CACHE) >= _CACHE_MAX:
-            _SUBSTRATE_CACHE.pop(next(iter(_SUBSTRATE_CACHE)))
-        _SUBSTRATE_CACHE[signature] = substrate
+    while len(_SUBSTRATE_CACHE) >= _CACHE_MAX:
+        _SUBSTRATE_CACHE.pop(next(iter(_SUBSTRATE_CACHE)))
+    _SUBSTRATE_CACHE[signature] = (segment, substrate)
     return substrate
 
 

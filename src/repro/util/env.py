@@ -2,15 +2,12 @@
 
 Determinism contract: a simulated quantity must never depend on the
 host environment, but a handful of *operational* toggles legitimately
-live there -- the incremental-routing escape hatch
-(``REPRO_BGP_DELTA``), the test-only sweep chaos hook
-(``REPRO_SWEEP_CHAOS``), the runtime sanitizer
-(``REPRO_SANITIZE``), the zero-copy sweep-substrate toggle
-(``REPRO_SWEEP_SHM``), and the segment-batched engine escape hatch
-(``REPRO_ENGINE_BATCH``).  Every one of those reads goes through
-:func:`read_env` so the interprocedural purity analyzer
-(:mod:`repro.devtools.purity`) has exactly one allowlisted ENV_READ
-source to reason about; an ``os.environ`` read anywhere else in the
+live there -- the test-only sweep chaos hook (``REPRO_SWEEP_CHAOS``),
+the runtime sanitizer (``REPRO_SANITIZE``), and the segment-batched
+engine escape hatch (``REPRO_ENGINE_BATCH``).  Every one of those
+reads goes through :func:`read_env` so the interprocedural purity
+analyzer (:mod:`repro.devtools.purity`) has exactly one allowlisted
+ENV_READ source to reason about; an ``os.environ`` read anywhere else in the
 call graph of a purity root is a violation.
 
 All accessors re-read the environment on every call, so tests can
@@ -24,12 +21,8 @@ import os
 
 #: The operational toggles this repo recognises.  Names are collected
 #: here so call sites never spell a raw string twice.
-BGP_DELTA = "REPRO_BGP_DELTA"
 SWEEP_CHAOS = "REPRO_SWEEP_CHAOS"
 SANITIZE = "REPRO_SANITIZE"
-#: Zero-copy shared-memory substrates for parallel sweeps; set to
-#: ``"0"`` to force the legacy per-worker rebuild (pickled) path.
-SWEEP_SHM = "REPRO_SWEEP_SHM"
 #: Segment-batched engine execution; set to ``"0"`` to force the
 #: per-bin reference path (bit-identical by construction, see
 #: docs/architecture.md "Segment-batched execution").
@@ -51,8 +44,8 @@ def env_flag(name: str, *, default: bool = False) -> bool:
     """A boolean toggle: ``"0"``/``""``/unset-with-default-False are
     off, anything else is on.
 
-    ``env_flag(BGP_DELTA, default=True)`` preserves the historical
-    semantics of that knob: set-but-``"0"`` disables, unset enables.
+    ``env_flag(ENGINE_BATCH, default=True)`` therefore reads
+    set-but-``"0"`` as off and unset as on.
     """
     raw = read_env(name, "1" if default else "")
     return raw not in ("", "0")

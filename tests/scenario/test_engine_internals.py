@@ -132,3 +132,71 @@ class TestTruthIntegrity:
         assert (truth.legit_served_qps <= truth.legit_offered_qps
                 + 1e-6).all()
         assert (truth.legit_offered_qps >= 0).all()
+
+
+#: Relative slack for legit served vs offered: served load is summed
+#: over per-stub site shares, which rounds a few ulps either way.
+ROUNDING = 1e-9
+
+
+def _controlled_config():
+    """A small scenario with a controller and a fault plan, which
+    forces the per-bin path and exercises fault-driven re-routing."""
+    from repro import BgpSessionReset, FaultPlan, SiteFailure, VpDropout
+    from repro.defense import GreedyShedController
+    from repro.util.timegrid import EVENT_WINDOW_START as w
+
+    hour = 3600
+    return ScenarioConfig(
+        seed=6, n_stubs=120, n_vps=60, include_nl=False,
+        controllers={"K": GreedyShedController()},
+        faults=FaultPlan(
+            specs=(
+                SiteFailure(letter="K", site="AMS", start=w + 12 * hour,
+                            duration_s=2 * hour),
+                BgpSessionReset(letter="K", site="LHR",
+                                start=w + 15 * hour, duration_s=1800),
+                VpDropout(start=w + 18 * hour, duration_s=hour,
+                          fraction=0.5),
+            )
+        ),
+    )
+
+
+class TestPhysicalInvariants:
+    """Every letter's truth series obey the physics on every engine
+    path: the batched default, the per-bin reference
+    (``REPRO_ENGINE_BATCH=0``) and a controlled, faulted run."""
+
+    @pytest.fixture(
+        scope="class", params=["batched", "per-bin", "controlled"]
+    )
+    def result(self, request):
+        if request.param == "controlled":
+            return simulate(_controlled_config())
+        config = ScenarioConfig(seed=5, n_stubs=120, n_vps=60)
+        if request.param == "batched":
+            return simulate(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_ENGINE_BATCH", "0")
+            return simulate(config)
+
+    def test_legit_served_within_offered(self, result):
+        for letter in result.letters:
+            truth = result.truth[letter]
+            offered = truth.legit_offered_qps
+            assert (offered >= 0).all(), letter
+            assert (
+                truth.legit_served_qps <= offered * (1 + ROUNDING)
+            ).all(), letter
+
+    def test_loss_is_a_fraction(self, result):
+        for letter in result.letters:
+            loss = result.truth[letter].loss
+            assert ((loss >= 0.0) & (loss <= 1.0)).all(), letter
+
+    def test_delay_within_buffer_cap(self, result):
+        buffer_ms = result.config.overload.buffer_ms
+        for letter in result.letters:
+            cap = result.deployments[letter].buffer_caps(buffer_ms)
+            assert (result.truth[letter].delay_ms <= cap).all(), letter

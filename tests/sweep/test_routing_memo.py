@@ -1,12 +1,13 @@
-"""Cross-cell routing-table reuse through the substrate memo.
+"""Cross-cell routing-table reuse through each prefix's routing cache.
 
-``Substrate.routing_memo`` is a second-level cache behind each
-prefix's bounded LRU: it survives prefix resets and LRU eviction, so
-sweep cells that share a substrate (same topology signature,
-different attack/fault knobs) reuse each other's BGP propagations.
-Reuse must be pure speed -- every output array stays bit-identical to
-a fresh-substrate run, and ``jobs=N`` stays bit-identical to
-``jobs=1`` with the memo in play.
+Every letter's :class:`~repro.netsim.anycast.AnycastPrefix` memoizes
+its routing tables in one private, bounded LRU that survives
+:meth:`~repro.scenario.engine.Substrate.reset`, so sweep cells that
+share a substrate (same topology signature, different attack/fault
+knobs) reuse each other's BGP propagations.  Reuse must be pure speed
+-- every output array stays bit-identical to a fresh-substrate run,
+and ``jobs=N`` stays bit-identical to ``jobs=1`` with the cache in
+play.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.netsim import anycast as anycast_module
 from repro.netsim.anycast import PREFIX_CACHE_STATS
 from repro.scenario import result_arrays
 from repro.scenario.engine import build_substrate, simulate
@@ -24,7 +26,8 @@ def _with_scaled_events(config, factor):
     """The same scenario with every attack's rate scaled by *factor*.
 
     Changes only a run-time knob, so the substrate signature -- and
-    therefore the shared memo -- is identical to the base config's.
+    therefore the routing caches -- are identical to the base
+    config's.
     """
     events = tuple(
         dataclasses.replace(event, rate_qps=event.rate_qps * factor)
@@ -33,41 +36,66 @@ def _with_scaled_events(config, factor):
     return dataclasses.replace(config, events=events)
 
 
+def _assert_bit_identical(a, b):
+    got, want = result_arrays(a), result_arrays(b)
+    assert set(got) == set(want)
+    for name in want:
+        assert np.array_equal(
+            np.asarray(got[name]), np.asarray(want[name]),
+            equal_nan=True,
+        ), name
+
+
 class TestSubstrateMemo:
     def test_memo_attached_to_every_prefix(self, tiny_base):
-        substrate = build_substrate(tiny_base)
-        for deployment in substrate.deployments.values():
-            assert deployment.prefix._shared_memo is substrate.routing_memo
+        # Each letter owns a private cache, and the tables
+        # build_substrate computed (H's standby withdrawal) survive the
+        # reset every reusing simulate() starts with.
+        config = dataclasses.replace(tiny_base, letters=("H", "K"))
+        substrate = build_substrate(config)
+        caches = {
+            letter: dict(deployment.prefix._cache)
+            for letter, deployment in substrate.deployments.items()
+        }
+        assert len(
+            {id(d.prefix._cache) for d in substrate.deployments.values()}
+        ) == len(caches)
+        assert any(caches.values())
+        before = PREFIX_CACHE_STATS["computes"]
+        substrate.reset()
+        assert PREFIX_CACHE_STATS["computes"] == before
+        for letter, deployment in substrate.deployments.items():
+            assert deployment.prefix._cache == caches[letter]
 
     def test_simulate_populates_memo_per_letter(self, tiny_base):
         substrate = build_substrate(tiny_base)
         simulate(tiny_base, substrate)
-        assert substrate.routing_memo
-        letters = {key[0] for key in substrate.routing_memo}
-        assert letters <= set(substrate.deployments)
+        for deployment in substrate.deployments.values():
+            cache = deployment.prefix._cache
+            assert 0 < len(cache) <= anycast_module.CACHE_SIZE
 
-    def test_memo_serves_cells_across_lru_eviction(self, tiny_base):
+    def test_reused_substrate_computes_no_new_tables(self, tiny_base):
+        substrate = build_substrate(tiny_base)
+        first = simulate(tiny_base, substrate)
+        before = PREFIX_CACHE_STATS["computes"]
+        second = simulate(tiny_base, substrate)
+        assert PREFIX_CACHE_STATS["computes"] == before
+        _assert_bit_identical(second, first)
+
+    def test_memo_serves_cells_across_lru_eviction(
+        self, tiny_base, monkeypatch
+    ):
+        # A one-entry cache evicts on every state change; a cell run
+        # on the reused substrate must still match a fresh build.
+        monkeypatch.setattr(anycast_module, "CACHE_SIZE", 1)
         substrate = build_substrate(tiny_base)
         simulate(tiny_base, substrate)
-        # Between cells, wipe every prefix LRU (what eviction pressure
-        # from a fault-heavy cell would do); only the substrate memo
-        # still remembers the first cell's tables.
         for deployment in substrate.deployments.values():
-            deployment.prefix._cache.clear()
-            deployment.prefix._current = None
+            assert len(deployment.prefix._cache) == 1
         heavy = _with_scaled_events(tiny_base, 2.0)
-        before = PREFIX_CACHE_STATS["memo_hits"]
         reused = simulate(heavy, substrate)
-        assert PREFIX_CACHE_STATS["memo_hits"] > before
-
-        fresh = simulate(heavy, build_substrate(heavy))
-        got, want = result_arrays(reused), result_arrays(fresh)
-        assert set(got) == set(want)
-        for name in want:
-            assert np.array_equal(
-                np.asarray(got[name]), np.asarray(want[name]),
-                equal_nan=True,
-            ), name
+        monkeypatch.undo()
+        _assert_bit_identical(reused, simulate(heavy, build_substrate(heavy)))
 
 
 class TestJobsParity:
@@ -82,10 +110,4 @@ class TestJobsParity:
         parallel = run_sweep(spec, jobs=jobs)
         assert len(serial.results) == len(parallel.results)
         for a, b in zip(serial.results, parallel.results):
-            got, want = result_arrays(a), result_arrays(b)
-            assert set(got) == set(want)
-            for name in want:
-                assert np.array_equal(
-                    np.asarray(got[name]), np.asarray(want[name]),
-                    equal_nan=True,
-                ), name
+            _assert_bit_identical(a, b)

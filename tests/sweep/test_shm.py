@@ -30,7 +30,6 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.shm import attached_arrays
-from repro.util import env
 
 
 @pytest.fixture(scope="module")
@@ -138,19 +137,12 @@ class TestSweepUsesSharedMemory:
 
 
 class TestFallback:
-    def test_env_knob_disables_layer(self, spec, reference, monkeypatch):
-        monkeypatch.setenv(env.SWEEP_SHM, "0")
-        result = run_sweep(spec, jobs=2)
+    def test_shm_false_disables_layer(self, spec, reference):
+        result = run_sweep(spec, jobs=2, shm=False)
         _assert_identical(result, reference)
         assert result.shm_segments == 0
         assert "shm/cell" not in result.routing_stats
         _assert_no_leak()
-
-    def test_shm_argument_overrides_env(self, spec, reference, monkeypatch):
-        monkeypatch.setenv(env.SWEEP_SHM, "0")
-        result = run_sweep(spec, jobs=2, shm=True)
-        _assert_identical(result, reference)
-        assert result.shm_segments == 1
 
     def test_dead_segment_falls_back_to_local_build(
         self, spec, reference, monkeypatch

@@ -7,7 +7,7 @@ semantics that entry's justification relies on.
 """
 
 from repro.util.env import (
-    BGP_DELTA,
+    ENGINE_BATCH,
     SANITIZE,
     SWEEP_CHAOS,
     env_flag,
@@ -64,6 +64,6 @@ class TestEnvStr:
 def test_declared_knob_names_are_stable():
     # These spellings are user-facing (docs, CI); renaming them is a
     # breaking change that must be deliberate.
-    assert BGP_DELTA == "REPRO_BGP_DELTA"
+    assert ENGINE_BATCH == "REPRO_ENGINE_BATCH"
     assert SWEEP_CHAOS == "REPRO_SWEEP_CHAOS"
     assert SANITIZE == "REPRO_SANITIZE"
