@@ -10,10 +10,9 @@ wall time must clear the 2x floor against the recorded pre-batching
 baseline (0.754 s); the report keeps both paths' timings so the file
 documents the trade.
 
-``--routing`` instead runs ``benchmarks/bench_routing.py`` (churn,
-faulted end-to-end, and the churn-delta suite on 50k/100k-AS as-rel2
-graphs) and writes ``BENCH_routing.json``; add ``--smoke`` to shrink
-it to the CI equality-only sizes.
+``--routing`` instead runs ``benchmarks/bench_routing.py`` (churn
+and faulted end-to-end) and writes ``BENCH_routing.json``; add
+``--smoke`` to shrink it to the CI equality-only sizes.
 
 ``--profile`` runs the acceptance scenario once under cProfile and
 writes the top 25 functions by cumulative time to
@@ -157,7 +156,7 @@ def run_routing(output: Path, smoke: bool) -> None:
 
     The benchmark module lives outside the package tree, so it is
     loaded by file path; its own CLI handles sizing and the speedup
-    floors (skipped in smoke mode).
+    floor (skipped in smoke mode).
     """
     bench_path = REPO_ROOT / "benchmarks" / "bench_routing.py"
     spec = importlib.util.spec_from_file_location("bench_routing", bench_path)

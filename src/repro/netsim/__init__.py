@@ -3,14 +3,12 @@
 from .anycast import AnycastPrefix, RouteChangeRecord
 from .asgraph import ASGraph, AsNode, AsRole, CompiledGraph, Relationship
 from .bgp import (
-    DELTA_STATS,
     Origin,
     Route,
     RouteClass,
     RoutingTable,
     Scope,
     propagate,
-    propagate_delta,
 )
 from .bgp_reference import propagate as propagate_reference
 from .queueing import OverloadModel
@@ -35,7 +33,6 @@ __all__ = [
     "AsRelTopologyConfig",
     "AsRole",
     "CompiledGraph",
-    "DELTA_STATS",
     "Origin",
     "OverloadModel",
     "Relationship",
@@ -53,6 +50,5 @@ __all__ = [
     "generate_as_rel2",
     "load_as_rel2",
     "propagate",
-    "propagate_delta",
     "propagate_reference",
 ]

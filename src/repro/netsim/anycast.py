@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .asgraph import ASGraph
-from .bgp import Origin, RoutingTable, propagate, propagate_delta
+from .bgp import Origin, RoutingTable, propagate
 
 #: Bound of each prefix's routing-table cache.  Policy loops cycle
 #: through a handful of announcement states, but fault-injected runs
@@ -23,21 +23,24 @@ from .bgp import Origin, RoutingTable, propagate, propagate_delta
 CACHE_SIZE = 64
 
 #: Cache-path instrumentation, for tests and benchmarks: how routing()
-#: requests were served.  Every compute that went through
-#: :func:`~repro.netsim.bgp.propagate_delta` ends as exactly one of
-#: :data:`~repro.netsim.bgp.DELTA_STATS` ``delta``, ``fallback`` or
-#: ``ripple_bailouts``.
+#: requests were served (every compute is one full propagation).
 PREFIX_CACHE_STATS: dict[str, int] = {
     "lru_hits": 0,
     "computes": 0,
 }
 
-#: Below this graph size :meth:`AnycastPrefix._compute` skips the
-#: delta path: on scenario-scale graphs (~1 k nodes) a full propagation
-#: costs 1-5 ms while replaying a base table's trace costs more than it
-#: saves; the replay only pays for itself on larger graphs.  The cutoff
-#: is a pure speed heuristic -- both paths produce bit-identical tables.
-DELTA_MIN_NODES = 4096
+
+def propagate_delta(*args: object, **kwargs: object) -> RoutingTable:
+    """Placeholder that nothing calls; routing is always a full
+    :func:`~repro.netsim.bgp.propagate`.
+
+    It exists only because the benchmark tracer's ``_TARGETS``
+    (``perfbench/tracer.py``) patches this name on this module; drop it
+    together with that target.
+    """
+    raise NotImplementedError(
+        "incremental routing was removed; use propagate()"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,44 +141,14 @@ class AnycastPrefix:
         return table
 
     def _compute(self, key: tuple) -> RoutingTable:
-        """Propagate the state *key* describes, via delta if possible.
-
-        The base of a delta is the last table :meth:`routing` returned,
-        which is the most recent entry of the cache: the state the
-        prefix is leaving, one announce / withdraw / block edit away.
-        :func:`~repro.netsim.bgp.propagate_delta` is bit-identical to
-        full propagation whatever it starts from, so the base only
-        affects speed, never output.  Graphs smaller than
-        :data:`DELTA_MIN_NODES` always propagate in full: at that scale
-        the replay costs more than it saves.
-        """
+        """Propagate the announcement state *key* describes."""
         origins = [
             self._origins[s].with_blocked(self._blocked[s])
             for s in sorted(key[0])
         ]
         if not origins:
             return RoutingTable({})
-        if not self._cache or len(self.graph) < DELTA_MIN_NODES:
-            return propagate(self.graph, origins)
-        base_key, base_table = next(reversed(self._cache.items()))
-        arrays = base_table._arrays
-        if arrays is None or arrays.trace is None:
-            # Dict-backed or trace-less tables (the reference
-            # implementation, deserialized fixtures, the empty table)
-            # cannot seed a replay.
-            return propagate(self.graph, origins)
-        withdraw = sorted(base_key[0] - key[0])
-        base_blocked = dict(base_key[1])
-        announce = [
-            self._origins[s].with_blocked(self._blocked[s])
-            for s in sorted(key[0])
-            if s not in base_key[0]
-            or base_blocked[s] != self._blocked[s]
-        ]
-        return propagate_delta(
-            self.graph, base_table,
-            announce=announce, withdraw=withdraw,
-        )
+        return propagate(self.graph, origins)
 
     def set_announced(self, site: str, up: bool, timestamp: float) -> bool:
         """Announce or withdraw *site*; log the routing delta.

@@ -143,8 +143,8 @@ class SweepResult:
     failures: dict[int, str] = field(default_factory=dict)
     #: Attempts actually started per cell index (1 for a clean run).
     attempts: dict[int, int] = field(default_factory=dict)
-    #: Summed per-cell routing-layer counter deltas across all
-    #: workers (``delta/*`` and ``prefix_cache/*`` keys).
+    #: Summed per-cell counter deltas across all workers
+    #: (``prefix_cache/*``, ``shm/*`` and ``sanitize/*`` keys).
     routing_stats: dict[str, int] = field(default_factory=dict)
     #: Cell indices restored from the checkpoint instead of re-run.
     restored: tuple[int, ...] = ()

@@ -19,11 +19,10 @@ a pure function of its config, wherever it runs.
 Supervision contract: a worker never lets one cell's exception escape
 the task -- every cell produces a :class:`CellOutcome`, carrying
 either the result or the error string, plus the worker's pid and the
-cell's routing-layer counter deltas (``DELTA_STATS`` /
-``PREFIX_CACHE_STATS``), so the parent can retry failed cells, spot
-which process did what, and surface fallback storms.  Only process
-death (crash, chaos kill, OOM) loses a task, and the runner detects
-that as ``BrokenProcessPool``.
+cell's counter deltas (``PREFIX_CACHE_STATS`` / ``SHM_STATS``), so
+the parent can retry failed cells, spot which process did what, and
+surface fallback storms.  Only process death (crash, chaos kill, OOM)
+loses a task, and the runner detects that as ``BrokenProcessPool``.
 
 The serial (``jobs=1``) path goes through :func:`run_cells_serial`,
 which pickle-roundtrips the cells first: worker processes only ever
@@ -45,7 +44,6 @@ from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..devtools import sanitize
-from ..netsim import DELTA_STATS
 from ..netsim.anycast import PREFIX_CACHE_STATS
 from ..scenario.engine import Substrate, build_substrate, simulate
 from ..scenario.engine import substrate_signature
@@ -87,9 +85,10 @@ class CellOutcome:
     """What one attempt at one cell produced.
 
     Exactly one of ``result``/``error`` is set.  ``routing_stats``
-    holds this cell's *deltas* of the process-global routing counters
-    (keys prefixed ``delta/`` and ``prefix_cache/``), so the parent
-    can sum them across workers without double counting.
+    holds this cell's *deltas* of the process-global counters (keys
+    prefixed ``prefix_cache/`` and ``shm/``, plus ``sanitize/`` draw
+    counts under ``REPRO_SANITIZE=1``), so the parent can sum them
+    across workers without double counting.
     """
 
     index: int
@@ -155,10 +154,9 @@ def _substrate_for(cell: SweepCell) -> Substrate:
 
 
 def _stats_snapshot() -> dict[str, int]:
-    snapshot = {f"delta/{k}": v for k, v in DELTA_STATS.items()}
-    snapshot.update(
-        {f"prefix_cache/{k}": v for k, v in PREFIX_CACHE_STATS.items()}
-    )
+    snapshot = {
+        f"prefix_cache/{k}": v for k, v in PREFIX_CACHE_STATS.items()
+    }
     snapshot.update({f"shm/{k}": v for k, v in SHM_STATS.items()})
     return snapshot
 

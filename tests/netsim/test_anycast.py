@@ -3,14 +3,11 @@
 import pytest
 
 from repro.netsim import (
-    DELTA_STATS,
     ASGraph,
     AnycastPrefix,
     AsNode,
     Origin,
     Relationship,
-    propagate,
-    propagate_delta,
 )
 from repro.netsim import anycast as anycast_module
 from repro.netsim.anycast import PREFIX_CACHE_STATS
@@ -191,95 +188,3 @@ class TestValidation:
                 prefix.graph,
                 [Origin(site="A", asn=1), Origin(site="A", asn=2)],
             )
-
-
-def _delta_calls():
-    """propagate_delta calls so far: each ends as a replay, a fallback
-    or a ripple bailout."""
-    return (
-        DELTA_STATS["delta"]
-        + DELTA_STATS["fallback"]
-        + DELTA_STATS["ripple_bailouts"]
-    )
-
-
-def _assert_same_routes(actual, expected):
-    assert list(actual._routes) == list(expected._routes)
-    assert actual._routes == expected._routes
-    assert actual.catchments() == expected.catchments()
-
-
-class TestDeltaWiring:
-    """routing() derives fresh states from cached tables via deltas."""
-
-    @pytest.fixture(autouse=True)
-    def _force_delta_eligible(self, monkeypatch):
-        # The toy graphs here sit far below the size cutoff where the
-        # delta path pays off; drop it so the wiring stays exercised.
-        monkeypatch.setattr(anycast_module, "DELTA_MIN_NODES", 0)
-
-    def test_state_changes_are_delta_derived(self, prefix):
-        before = _delta_calls()
-        prefix.routing()                                   # cold: full
-        prefix.withdraw("A", timestamp=1.0)                # delta base {A,B}
-        prefix.set_blocked("B", frozenset({4}), timestamp=2.0)
-        assert _delta_calls() == before + 2
-
-    def test_delta_tables_match_full_propagation(self, prefix):
-        prefix.withdraw("A", timestamp=1.0)
-        table = prefix.routing()
-        full = propagate(prefix.graph, [prefix.origin("B")])
-        _assert_same_routes(table, full)
-
-    def test_delta_base_is_previous_table(self, prefix, monkeypatch):
-        # Every derived table starts from the one routing() returned
-        # last -- the state being left, including across reset().
-        bases = []
-
-        def spy(graph, previous, announce=(), withdraw=()):
-            bases.append(previous)
-            return propagate_delta(
-                graph, previous, announce=announce, withdraw=withdraw
-            )
-
-        monkeypatch.setattr(anycast_module, "propagate_delta", spy)
-        full = prefix.routing()
-        prefix.withdraw("A", timestamp=1.0)
-        only_b = prefix.routing()
-        prefix.set_blocked("B", frozenset({4}), timestamp=2.0)
-        prefix.reset()
-        prefix.routing()                                   # cached {A,B}
-        prefix.set_blocked("A", frozenset({3}), timestamp=3.0)
-        assert [id(t) for t in bases] == [
-            id(full), id(only_b), id(full)
-        ]
-
-    def test_dict_backed_tables_never_seed_deltas(self, monkeypatch):
-        # bench_routing's reference A/B swaps propagate for the scalar
-        # implementation; its dict-backed tables land in the cache and
-        # must never seed a replay, even as the previous table.
-        from repro.netsim import bgp_reference
-
-        prefix = _make_prefix()
-        with monkeypatch.context() as patched:
-            patched.setattr(
-                anycast_module, "propagate", bgp_reference.propagate
-            )
-            prefix.routing()                   # dict-backed {A, B} cached
-        prefix.withdraw("A", timestamp=1.0)    # must not replay from it
-        full = propagate(prefix.graph, [prefix.origin("B")])
-        _assert_same_routes(prefix.routing(), full)
-
-
-class TestDeltaSizeCutoff:
-    def test_small_graphs_skip_the_delta_path(self, prefix):
-        # Under the default DELTA_MIN_NODES cutoff a 5-node graph
-        # always propagates in full; outputs stay identical.
-        before = _delta_calls()
-        prefix.routing()
-        prefix.withdraw("A", timestamp=1.0)
-        table = prefix.routing()
-        assert _delta_calls() == before
-        _assert_same_routes(
-            table, propagate(prefix.graph, [prefix.origin("B")])
-        )

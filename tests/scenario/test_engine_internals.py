@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import ScenarioConfig, quiet_config, simulate
+from repro.scenario import batch, engine
 from repro.scenario.engine import window_dates
 from repro.util import TimeGrid, utc
 
@@ -171,15 +172,34 @@ class TestPhysicalInvariants:
     @pytest.fixture(
         scope="class", params=["batched", "per-bin", "controlled"]
     )
-    def result(self, request):
-        if request.param == "controlled":
-            return simulate(_controlled_config())
-        config = ScenarioConfig(seed=5, n_stubs=120, n_vps=60)
-        if request.param == "batched":
-            return simulate(config)
+    def run(self, request):
+        """The scenario result plus the per-epoch share arrays of every
+        routing state each letter visited, keyed ``(letter, epoch)``.
+
+        The arrays are captured where both engine paths resolve them
+        (``_epoch_for``, imported by name into the batched executor).
+        """
+        epochs = {}
+        original = engine._epoch_for
+
+        def recording(state, letter):
+            table, ed = original(state, letter)
+            epochs[(letter, ed.epoch)] = ed
+            return table, ed
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_ENGINE_BATCH", "0")
-            return simulate(config)
+            patch.setattr(engine, "_epoch_for", recording)
+            patch.setattr(batch, "_epoch_for", recording)
+            if request.param == "controlled":
+                return simulate(_controlled_config()), epochs
+            config = ScenarioConfig(seed=5, n_stubs=120, n_vps=60)
+            if request.param == "per-bin":
+                patch.setenv("REPRO_ENGINE_BATCH", "0")
+            return simulate(config), epochs
+
+    @pytest.fixture(scope="class")
+    def result(self, run):
+        return run[0]
 
     def test_legit_served_within_offered(self, result):
         for letter in result.letters:
@@ -200,3 +220,20 @@ class TestPhysicalInvariants:
         for letter in result.letters:
             cap = result.deployments[letter].buffer_caps(buffer_ms)
             assert (result.truth[letter].delay_ms <= cap).all(), letter
+
+    def test_epoch_share_sums(self, run):
+        result, epochs = run
+        for letter in result.letters:
+            n_epochs = result.truth[letter].stub_site_by_epoch.shape[0]
+            visited = sorted(e for (name, e) in epochs if name == letter)
+            assert visited == list(range(n_epochs)), letter
+            for epoch in visited:
+                ed = epochs[(letter, epoch)]
+                where = (letter, epoch)
+                assert (ed.legit_share >= 0.0).all(), where
+                assert ed.legit_share.sum() == pytest.approx(
+                    ed.legit_total, rel=0.0, abs=ROUNDING
+                ), where
+                assert ed.legit_total <= 1.0 + ROUNDING, where
+                assert (ed.bot_share >= 0.0).all(), where
+                assert ed.bot_share.sum() <= 1.0 + ROUNDING, where
