@@ -36,3 +36,6 @@ def test_table3_dec1(benchmark, scenario):
     print()
     print(table.render())
     print("  paper: A 5.21 Mq/s; lower 8.94, scaled 22.4, upper 52.1 Mq/s")
+    rate = {row[0]: row[1] for row in table.rows}
+    assert rate["lower"] < rate["scaled"] < rate["upper"]
+    assert rate["A"] > rate["J"] > rate["K"] > rate["H"]

@@ -1,16 +1,8 @@
 """CI smoke test: crash a sweep mid-run, resume it, demand bit-identity.
 
-Three legs, all compared array-by-array (``result_arrays`` /
+Two legs, both compared array-by-array (``result_arrays`` /
 ``diff_arrays``) against one uninterrupted ``jobs=1`` reference sweep
 of the same spec:
-
-0. **shm leg** -- the grid runs with ``jobs=2`` over zero-copy
-   shared-memory substrates (:mod:`repro.sweep.shm`) while a chaos
-   directive kills a worker mid-run; the healed run must be
-   bit-identical, the respawned pool must have reattached the
-   parent's segments, ``/dev/shm`` must be empty afterwards, and a
-   ``shm=False`` control must run the same grid without exporting
-   anything.
 
 1. **kill leg** -- a six-cell grid runs with ``jobs=2`` and a chaos
    directive (``REPRO_SWEEP_CHAOS=kill:cell4``) that makes the worker
@@ -51,7 +43,6 @@ from repro.scenario import diff_arrays, result_arrays
 from repro.sweep import (
     CHAOS_ENV,
     SweepSpec,
-    leaked_segments,
     load_checkpoint,
     run_sweep,
 )
@@ -98,45 +89,6 @@ def check_identical(result, reference, label: str) -> None:
             f"reference: {mismatches}"
         )
     print(f"ok: {label} is bit-identical to the reference")
-
-
-def shm_leg(spec, reference) -> None:
-    assert leaked_segments() == [], (
-        f"/dev/shm not clean before the shm leg: {leaked_segments()}"
-    )
-    os.environ[CHAOS_ENV] = f"kill:cell{KILL_CELL}"
-    try:
-        healed = run_sweep(
-            spec, jobs=2, chunk_size=2, shm=True,
-            max_retries=2, backoff_base_s=0.0,
-        )
-    finally:
-        del os.environ[CHAOS_ENV]
-    check_identical(healed, reference, "shm leg (healed)")
-    # 2 replicate seeds -> 2 substrate signatures, each shared by 3
-    # cells -> both exported; the respawned pool reattached them.
-    assert healed.shm_segments == 2, (
-        f"expected 2 exported segments, got {healed.shm_segments}"
-    )
-    assert healed.routing_stats.get("shm/cell", 0) == spec.n_cells, (
-        f"not every cell was served from shared memory: "
-        f"{healed.routing_stats}"
-    )
-    assert "shm/fallback" not in healed.routing_stats, (
-        f"unexpected attach fallbacks: {healed.routing_stats}"
-    )
-    assert leaked_segments() == [], (
-        f"segments leaked after the shm leg: {leaked_segments()}"
-    )
-    print(
-        "ok: shm leg healed a worker kill over shared segments "
-        "with no /dev/shm residue"
-    )
-
-    control = run_sweep(spec, jobs=2, chunk_size=2, shm=False)
-    check_identical(control, reference, "shm leg (disabled control)")
-    assert control.shm_segments == 0, "shm=False still exported segments"
-    print("ok: shm=False control matched on the pickled path")
 
 
 def kill_leg(spec, reference, workdir: pathlib.Path) -> None:
@@ -260,7 +212,6 @@ def main() -> int:
         file=sys.stderr,
     )
     reference = run_sweep(spec, jobs=1)
-    shm_leg(spec, reference)
     with tempfile.TemporaryDirectory(prefix="sweep-chaos-") as tmp:
         workdir = pathlib.Path(tmp)
         kill_leg(spec, reference, workdir)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -70,27 +70,6 @@ _REL_CODES: dict[Relationship, int] = {
     Relationship.PEER: 2,
 }
 
-#: Every ndarray field of :class:`CompiledGraph`, in declaration
-#: order.  The shared-memory substrate layer (:mod:`repro.sweep.shm`)
-#: exports exactly these arrays and rebuilds the view from attached
-#: buffers via :meth:`CompiledGraph.from_arrays`; ``row_of`` is
-#: deliberately absent -- it is derived from ``asn_of``.
-_COMPILED_ARRAY_FIELDS = (
-    "asn_of",
-    "provider_indptr",
-    "provider_indices",
-    "peer_indptr",
-    "peer_indices",
-    "customer_indptr",
-    "customer_indices",
-    "all_indptr",
-    "all_indices",
-    "all_rel",
-    "_sorted_asns",
-    "_sorted_rows",
-)
-
-
 @dataclass(frozen=True, slots=True)
 class CompiledGraph:
     """An immutable CSR view of one :class:`ASGraph` structure version.
@@ -128,42 +107,6 @@ class CompiledGraph:
     @property
     def n_nodes(self) -> int:
         return int(self.asn_of.size)
-
-    @classmethod
-    def array_fields(cls) -> tuple[str, ...]:
-        """Names of every ndarray field, in declaration order."""
-        return _COMPILED_ARRAY_FIELDS
-
-    @classmethod
-    def from_arrays(
-        cls, version: int, arrays: Mapping[str, np.ndarray]
-    ) -> "CompiledGraph":
-        """Rebuild a compiled view from its named arrays.
-
-        The from-buffer constructor of the zero-copy sweep path: the
-        arrays typically live in a ``multiprocessing.shared_memory``
-        segment created by another process.  ``row_of`` is derived
-        from ``asn_of`` (rows are insertion order by construction), so
-        the only non-array state a caller must supply is *version*.
-        Arrays that are not already read-only are frozen, preserving
-        the invariant that compiled views are immutable.
-        """
-        missing = [
-            name for name in _COMPILED_ARRAY_FIELDS if name not in arrays
-        ]
-        if missing:
-            raise ValueError(
-                f"CompiledGraph.from_arrays missing arrays: {missing}"
-            )
-        asn_of = arrays["asn_of"]
-        row_of = {int(asn): row for row, asn in enumerate(asn_of)}
-        fields: dict[str, np.ndarray] = {}
-        for name in _COMPILED_ARRAY_FIELDS:
-            array = arrays[name]
-            if array.flags.writeable:
-                array = _frozen(array)
-            fields[name] = array
-        return cls(version=version, row_of=row_of, **fields)
 
     def rows_of(self, asns: Iterable[int] | np.ndarray) -> np.ndarray:
         """Vectorized ASN -> row lookup; ``-1`` for unknown ASNs."""
@@ -311,21 +254,6 @@ class ASGraph:
             for i, (key, _location, scale) in enumerate(missing):
                 cache[key] = matrix[i] * scale
         return [cache[key] for key, _location, _scale in specs]
-
-    def distance_memo(self) -> dict[int, np.ndarray]:
-        """The per-origin distance rows valid for the *current* node
-        set, keyed by origin cache key (ASN).
-
-        Stale-length rows are excluded (they would be recomputed by
-        the next :meth:`distance_row` call anyway).  Used by the
-        zero-copy sweep layer to ship warm tie-break memos to workers.
-        """
-        n_nodes = len(self._nodes)
-        return {
-            key: row
-            for key, row in self._distance_cache.items()
-            if row.shape[0] == n_nodes
-        }
 
     def compiled(self) -> CompiledGraph:
         """The immutable CSR view of the current structure (cached).

@@ -208,7 +208,7 @@ class RoutingTable:
         self.version = next(_TABLE_VERSIONS)
 
     @classmethod
-    def _from_arrays(cls, arrays: _TableArrays) -> "RoutingTable":
+    def _of_arrays(cls, arrays: _TableArrays) -> "RoutingTable":
         table = cls.__new__(cls)
         table._dict = None
         table._arrays = arrays
@@ -373,7 +373,7 @@ class RoutingTable:
                 or _rows_prefix_aligned(mine.compiled, theirs.compiled)
             )
         ):
-            return self._changes_from_arrays(mine, theirs)
+            return self._changes_between_arrays(mine, theirs)
         changed: set[int] = set()
         prev = previous._routes
         for asn, route in self._routes.items():
@@ -385,7 +385,7 @@ class RoutingTable:
         return changed
 
     @staticmethod
-    def _changes_from_arrays(
+    def _changes_between_arrays(
         mine: _TableArrays, theirs: _TableArrays
     ) -> set[int]:
         # The two tables may sit on different compiled views of an
@@ -769,23 +769,6 @@ class _Propagation:
         )
 
 
-def compiled_graph_from_buffers(
-    version: int, arrays: Mapping[str, np.ndarray]
-) -> CompiledGraph:
-    """Rebuild a :class:`CompiledGraph` from named array buffers.
-
-    The from-buffer constructor used by the zero-copy sweep substrate
-    layer (:mod:`repro.sweep.shm`): *arrays* are typically read-only
-    views over a ``multiprocessing.shared_memory`` segment exported by
-    the sweep parent, one entry per
-    :meth:`CompiledGraph.array_fields` name.  ``row_of`` is derived
-    from ``asn_of``; the result is indistinguishable from the view
-    :meth:`ASGraph.compiled` would build for the same structure
-    version, so every kernel in this module runs on it unchanged.
-    """
-    return CompiledGraph.from_arrays(version, arrays)
-
-
 def propagate(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
     """Compute best routes at every AS for one anycast prefix.
 
@@ -854,7 +837,7 @@ def propagate(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
 
     # --- Local sites: host AS and direct neighbors only. --------------
     _local_stage(state, local_origins)
-    return RoutingTable._from_arrays(state.finish())
+    return RoutingTable._of_arrays(state.finish())
 
 
 def _local_stage(

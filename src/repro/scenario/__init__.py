@@ -1,6 +1,6 @@
 """Scenario orchestration: the Nov/Dec 2015 event simulation."""
 
-from .arrays import diff_arrays, result_arrays, substrate_arrays
+from .arrays import diff_arrays, result_arrays
 from .config import ScenarioConfig
 from .engine import (
     BASELINE_DATES,
@@ -45,6 +45,5 @@ __all__ = [
     "quiet_config",
     "result_arrays",
     "simulate",
-    "substrate_arrays",
     "substrate_signature",
 ]

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .engine import ScenarioResult, Substrate
+    from .engine import ScenarioResult
 
 
 def result_arrays(result: ScenarioResult) -> dict[str, np.ndarray]:
@@ -69,24 +69,6 @@ def result_arrays(result: ScenarioResult) -> dict[str, np.ndarray]:
     if result.nl is not None:
         out["nl/served"] = result.nl.served
     return out
-
-
-def substrate_arrays(substrate: Substrate) -> dict[str, np.ndarray]:
-    """Flatten a substrate's shared-constant half into named arrays.
-
-    The other side of the serialization split: where
-    :func:`result_arrays` canonicalizes what a run *produced*,
-    this canonicalizes what every cell sharing a substrate signature
-    *consumes* -- the arrays
-    :func:`~repro.scenario.engine.substrate_constant_arrays`
-    enumerates and the zero-copy sweep layer (:mod:`repro.sweep.shm`)
-    ships through shared memory.  Round-trip checks compare exported
-    and reattached substrates through :func:`diff_arrays`, exactly
-    like results.
-    """
-    from .engine import substrate_constant_arrays
-
-    return dict(substrate_constant_arrays(substrate))
 
 
 def diff_arrays(

@@ -560,60 +560,6 @@ class Substrate:
             self.deployments[letter].reset()
 
 
-def substrate_constant_arrays(
-    substrate: Substrate,
-) -> list[tuple[str, np.ndarray]]:
-    """Every constant array of *substrate*, as ordered (name, array)
-    pairs with stable path-like names.
-
-    This is the shared-constant half of the substrate's serialization
-    split: the arrays listed here are immutable for the lifetime of
-    the substrate (they are exactly the arrays
-    :func:`repro.devtools.sanitize.freeze_substrate` locks, plus the
-    compiled CSR graph view and the AS-graph geometry/distance memos),
-    so the zero-copy sweep layer (:mod:`repro.sweep.shm`) exports them
-    once into shared memory and every worker maps them read-only.
-    Everything *not* listed -- deployment announcement state, change
-    logs, routing caches -- is per-cell-mutable state that each worker
-    owns privately.
-
-    The compiled graph view is forced into existence here so that a
-    substrate exported right after :func:`build_substrate` ships its
-    CSR arrays; forcing a pure cache cannot change any output.
-    """
-    pairs: list[tuple[str, np.ndarray]] = []
-    vps = substrate.vps
-    for name in (
-        "ids", "asns", "lats", "lons", "regions", "firmware", "hijacked",
-    ):
-        pairs.append((f"vps/{name}", getattr(vps, name)))
-    pairs.append(("botnet/asns", substrate.botnet.asns))
-    pairs.append(("botnet/weights", substrate.botnet.weights))
-    pairs.append(("collectors/peer_asns", substrate.collectors.peer_asns))
-    for letter in substrate.letters:
-        deployment = substrate.deployments[letter]
-        pairs.append(
-            (f"deployments/{letter}/capacity", deployment.capacity_vector)
-        )
-        pairs.append(
-            (
-                f"deployments/{letter}/fastpath_thresholds",
-                deployment._fastpath_thresholds,
-            )
-        )
-    graph = substrate.topology.graph
-    compiled = graph.compiled()
-    for name in compiled.array_fields():
-        pairs.append((f"graph/csr/{name}", getattr(compiled, name)))
-    _, lats, lons = graph.coordinate_arrays()
-    pairs.append(("graph/coords/lats", lats))
-    pairs.append(("graph/coords/lons", lons))
-    memo = graph.distance_memo()
-    for key in sorted(memo):
-        pairs.append((f"graph/distance/{key}", memo[key]))
-    return pairs
-
-
 def build_substrate(config: ScenarioConfig) -> Substrate:
     """Build the shared pre-loop artifacts for *config*.
 

@@ -2,12 +2,12 @@
 
 Runs grids of :class:`~repro.scenario.config.ScenarioConfig`
 variations (plus seed replication) across a supervised process pool,
-with per-worker substrate caching, zero-copy shared-memory substrate
-export (:mod:`repro.sweep.shm`), structured progress events,
+with per-worker substrate caching, structured progress events,
 replicate aggregation, crash-safe checkpointing, and retry/timeout
 handling -- while guaranteeing outputs bit-identical to a serial,
-uninterrupted run.  See ``docs/architecture.md`` ("Parallel sweeps",
-"Zero-copy sweeps", and "Fault-tolerant sweeps").
+uninterrupted run.  Each worker builds the substrates it needs from
+the cell configs.  See ``docs/architecture.md`` ("Parallel sweeps"
+and "Fault-tolerant sweeps").
 """
 
 from .aggregate import CellSummary, MetricSummary, summarize
@@ -37,17 +37,9 @@ from .runner import (
     backoff_schedule_s,
     default_chunk_size,
     default_start_method,
+    leaked_segments,
     run_sweep,
     summaries_records,
-)
-from .shm import (
-    SharedArraySpec,
-    SharedSubstrate,
-    SubstrateManifest,
-    attach_substrate,
-    export_shared_substrates,
-    export_substrate,
-    leaked_segments,
 )
 from .spec import SweepCell, SweepSpec, replicate_seeds
 
@@ -67,20 +59,14 @@ __all__ = [
     "ProgressEvent",
     "SWEEP_DONE",
     "SWEEP_START",
-    "SharedArraySpec",
-    "SharedSubstrate",
-    "SubstrateManifest",
     "SweepCell",
     "SweepInterrupted",
     "SweepResult",
     "SweepSpec",
-    "attach_substrate",
     "backoff_schedule_s",
     "cell_metrics",
     "default_chunk_size",
     "default_start_method",
-    "export_shared_substrates",
-    "export_substrate",
     "leaked_segments",
     "load_checkpoint",
     "parse_chaos",

@@ -63,11 +63,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .aggregate import CellSummary, summarize
 from .checkpoint import CheckpointWriter, load_checkpoint, resume_command
-from .shm import (
-    SharedSubstrate,
-    SubstrateManifest,
-    export_shared_substrates,
-)
 from .progress import (
     CELL_DONE,
     CELL_FAILED,
@@ -144,14 +139,14 @@ class SweepResult:
     #: Attempts actually started per cell index (1 for a clean run).
     attempts: dict[int, int] = field(default_factory=dict)
     #: Summed per-cell counter deltas across all workers
-    #: (``prefix_cache/*``, ``shm/*`` and ``sanitize/*`` keys).
+    #: (``prefix_cache/*`` and ``sanitize/*`` keys).
     routing_stats: dict[str, int] = field(default_factory=dict)
     #: Cell indices restored from the checkpoint instead of re-run.
     restored: tuple[int, ...] = ()
     checkpoint_path: str | None = None
-    #: Shared-memory segments exported for this run (0 when the layer
-    #: is disabled, the run was serial, or no signature was shared by
-    #: enough cells to be worth exporting).
+    #: Always 0: there are no shared-memory segments any more.  Kept
+    #: only because the benchmark (``perfbench/run.py``) reads it;
+    #: drop it together with that reader.
     shm_segments: int = 0
     #: Peak RSS per worker pid (KiB), as reported by the last outcome
     #: each worker returned.  Telemetry only.
@@ -219,8 +214,6 @@ class _Supervisor:
     completed: int = 0
     #: Signal name once a graceful stop was requested.
     stop_signal: str | None = None
-    #: Shared-memory segments exported for the pool path.
-    shm_segments: int = 0
     #: Peak RSS per worker pid (KiB); a high-water mark, so max-merged.
     worker_rss: dict[int, int] = field(default_factory=dict)
 
@@ -417,7 +410,6 @@ def _run_pool(
     cell_timeout_s: float | None,
     backoff_base_s: float,
     checkpoint_path: str | None,
-    shm_enabled: bool,
 ) -> None:
     context = multiprocessing.get_context(
         start_method or default_start_method()
@@ -431,20 +423,7 @@ def _run_pool(
             initializer=init_worker,
         )
 
-    # Shared-substrate export happens once, before any dispatch: the
-    # parent owns every segment for the whole pool lifetime (respawns
-    # included) and unlinks them in the ``finally`` below -- the one
-    # cleanup covering normal completion, graceful drain, worker
-    # death, and quarantine exits alike.
-    shared: list[SharedSubstrate] = []
-    manifests: dict[tuple[object, ...], SubstrateManifest] = {}
     try:
-        if shm_enabled:
-            shared, manifests = export_shared_substrates(
-                sup.incomplete(),
-                should_stop=lambda: sup.stop_signal is not None,
-            )
-            sup.shm_segments = len(shared)
         round_index = 0
         while True:
             todo = sup.incomplete()
@@ -475,11 +454,9 @@ def _run_pool(
                     if cell_timeout_s is not None
                     else None
                 )
-                futures[
-                    pool.submit(
-                        run_cells, chunk, attempts, manifests or None
-                    )
-                ] = _Task(cells=chunk, deadline=deadline)
+                futures[pool.submit(run_cells, chunk, attempts)] = _Task(
+                    cells=chunk, deadline=deadline
+                )
             pool_broken = False
             while futures and not pool_broken:
                 if sup.stop_signal:
@@ -536,15 +513,8 @@ def _run_pool(
                 pool = None
             round_index += 1
     finally:
-        # Workers must be gone (or at least past submission) before
-        # the segments are unlinked; unlinking a still-mapped segment
-        # is safe (the kernel keeps the memory until the last map
-        # drops), and a worker whose attach races the unlink falls
-        # back to a local build.
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        for handle in shared:
-            handle.close()
 
 
 def run_sweep(
@@ -565,15 +535,15 @@ def run_sweep(
     ``jobs=1`` runs inline; ``jobs>1`` uses a supervised
     ``ProcessPoolExecutor`` with a per-worker substrate cache, worker
     death/timeout detection, and retry with deterministic exponential
-    backoff.  Outputs are bit-identical across ``jobs`` values, across
-    retries, and across checkpoint resumes.
+    backoff.  Every worker builds each substrate it needs from the
+    cell's config and reuses it for later cells with the same
+    signature.  Outputs are bit-identical across ``jobs`` values,
+    across retries, and across checkpoint resumes.
 
-    On the pool path, substrates whose signature is shared by two or
-    more cells are built once in the parent and exported to
-    shared-memory segments that workers attach zero-copy
-    (:mod:`repro.sweep.shm`); ``shm=False`` turns the layer off.
-    The layer is transport-only -- outputs are bit-identical with it
-    on, off, or falling back mid-run.
+    *shm* is accepted and ignored: the shared-memory substrate layer
+    it switched was removed.  It stays only because the benchmark
+    (``perfbench/workloads.py``) passes it; drop it together with
+    that caller.
 
     With *checkpoint*, completed cells are persisted to an append-only
     log as they finish; if the file already exists (and matches the
@@ -653,7 +623,7 @@ def run_sweep(
             else:
                 _run_pool(
                     sup, jobs, chunk_size, start_method,
-                    cell_timeout_s, backoff_base_s, checkpoint_path, shm,
+                    cell_timeout_s, backoff_base_s, checkpoint_path,
                 )
         except KeyboardInterrupt:
             sup.stop_signal = sup.stop_signal or "SIGINT"
@@ -698,9 +668,31 @@ def run_sweep(
         routing_stats=dict(sup.routing_stats),
         restored=tuple(sorted(restored_results)),
         checkpoint_path=checkpoint_path,
-        shm_segments=sup.shm_segments,
         worker_rss_kb=dict(sup.worker_rss),
     )
+
+
+def export_shared_substrates(*args: object, **kwargs: object) -> None:
+    """Placeholder that nothing calls; sweep workers always build
+    their own substrates.
+
+    It exists only because the benchmark tracer's ``_TARGETS``
+    (``perfbench/tracer.py``) patches this name on this module; drop it
+    together with that target.
+    """
+    raise NotImplementedError(
+        "the shared-memory substrate layer was removed"
+    )
+
+
+def leaked_segments() -> list[str]:
+    """Always ``[]``: sweeps create no shared-memory segments.
+
+    It exists only because the benchmark's residue check
+    (``perfbench/run.py``) imports it from :mod:`repro.sweep`; drop it
+    together with that check.
+    """
+    return []
 
 
 def summaries_records(

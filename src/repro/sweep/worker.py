@@ -2,11 +2,10 @@
 
 Each worker process keeps a small cache of
 :class:`~repro.scenario.engine.Substrate` objects keyed by
-:func:`~repro.scenario.engine.substrate_signature`, whether built
-locally or attached from shared memory: consecutive cells that differ
-only in run-time knobs (events, overload model, controllers, faults)
-reuse the expensive topology/deployment/VP build instead of repeating
-it.  Substrate reuse is bit-identical to a fresh build
+:func:`~repro.scenario.engine.substrate_signature`, each built in the
+worker from a cell's config: consecutive cells that differ only in
+run-time knobs (events, overload model, controllers, faults) reuse
+the expensive topology/deployment/VP build instead of repeating it.  Substrate reuse is bit-identical to a fresh build
 (``tests/scenario/test_substrate.py``), so caching cannot change any
 output.
 
@@ -19,10 +18,10 @@ a pure function of its config, wherever it runs.
 Supervision contract: a worker never lets one cell's exception escape
 the task -- every cell produces a :class:`CellOutcome`, carrying
 either the result or the error string, plus the worker's pid and the
-cell's counter deltas (``PREFIX_CACHE_STATS`` / ``SHM_STATS``), so
-the parent can retry failed cells, spot which process did what, and
-surface fallback storms.  Only process death (crash, chaos kill, OOM)
-loses a task, and the runner detects that as ``BrokenProcessPool``.
+cell's ``PREFIX_CACHE_STATS`` deltas, so the parent can retry failed
+cells and spot which process did what.  Only process death (crash,
+chaos kill, OOM) loses a task, and the runner detects that as
+``BrokenProcessPool``.
 
 The serial (``jobs=1``) path goes through :func:`run_cells_serial`,
 which pickle-roundtrips the cells first: worker processes only ever
@@ -40,7 +39,6 @@ import pickle
 import resource
 import signal
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..devtools import sanitize
@@ -48,32 +46,16 @@ from ..netsim.anycast import PREFIX_CACHE_STATS
 from ..scenario.engine import Substrate, build_substrate, simulate
 from ..scenario.engine import substrate_signature
 from .chaos import maybe_inject
-from .shm import SHM_STATS, SubstrateManifest, attach_substrate
 
 if TYPE_CHECKING:
     from ..scenario.engine import ScenarioResult
     from .spec import SweepCell
 
-#: Per-process substrate cache; signature -> (attached segment, or
-#: ``None`` for a local build; substrate).  A FIFO bounded by
-#: ``_CACHE_MAX``: a chunk walks cells in index order, so only the
-#: most recent signatures are worth keeping.  Keying attached
-#: substrates by signature is exact because :func:`init_worker` empties
-#: the cache in every new worker and a pool lives inside one
-#: ``run_sweep``, where signatures and manifests map one to one.
-#: Eviction only drops the references -- it must NOT ``close()`` a
-#: segment, because live numpy views over its buffer would raise
-#: ``BufferError``; the mapping goes away when the views do, and the
-#: parent owns the unlink.
-_SUBSTRATE_CACHE: dict[
-    tuple[object, ...],
-    tuple[shared_memory.SharedMemory | None, Substrate],
-] = {}
+#: Per-process substrate cache; signature -> substrate.  A FIFO
+#: bounded by ``_CACHE_MAX``: a chunk walks cells in index order, so
+#: only the most recent signatures are worth keeping.
+_SUBSTRATE_CACHE: dict[tuple[object, ...], Substrate] = {}
 _CACHE_MAX = 4
-
-#: signature -> manifest routing table for the current task, installed
-#: by :func:`run_cells` for the duration of one task.
-_MANIFESTS: dict[tuple[object, ...], SubstrateManifest] = {}
 
 #: True inside a process-pool worker (set by :func:`init_worker`);
 #: gates chaos actions that must never take down the parent.
@@ -86,8 +68,8 @@ class CellOutcome:
 
     Exactly one of ``result``/``error`` is set.  ``routing_stats``
     holds this cell's *deltas* of the process-global counters (keys
-    prefixed ``prefix_cache/`` and ``shm/``, plus ``sanitize/`` draw
-    counts under ``REPRO_SANITIZE=1``), so the parent can sum them
+    prefixed ``prefix_cache/``, plus ``sanitize/`` draw counts under
+    ``REPRO_SANITIZE=1``), so the parent can sum them
     across workers without double counting.
     """
 
@@ -119,46 +101,21 @@ def init_worker() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _SUBSTRATE_CACHE.clear()
-    _MANIFESTS.clear()
 
 
 def _substrate_for(cell: SweepCell) -> Substrate:
     signature = substrate_signature(cell.config)
-    cached = _SUBSTRATE_CACHE.get(signature)
-    if cached is not None:
-        segment, substrate = cached
-        if segment is not None:
-            SHM_STATS["cell"] += 1
-        return substrate
-    segment = None
-    manifest = _MANIFESTS.get(signature)
-    if manifest is not None:
-        try:
-            segment, substrate = attach_substrate(manifest)
-        except Exception:
-            # Shared memory is a transport optimization, never a
-            # correctness dependency: any attach failure (segment gone,
-            # mapping refused, skeleton drift) falls back to the local
-            # build below, which is bit-identical by the
-            # substrate-reuse contract.
-            SHM_STATS["fallback"] += 1
-        else:
-            SHM_STATS["attach"] += 1
-            SHM_STATS["cell"] += 1
-    if segment is None:
+    substrate = _SUBSTRATE_CACHE.get(signature)
+    if substrate is None:
         substrate = build_substrate(cell.config)
-    while len(_SUBSTRATE_CACHE) >= _CACHE_MAX:
-        _SUBSTRATE_CACHE.pop(next(iter(_SUBSTRATE_CACHE)))
-    _SUBSTRATE_CACHE[signature] = (segment, substrate)
+        while len(_SUBSTRATE_CACHE) >= _CACHE_MAX:
+            _SUBSTRATE_CACHE.pop(next(iter(_SUBSTRATE_CACHE)))
+        _SUBSTRATE_CACHE[signature] = substrate
     return substrate
 
 
 def _stats_snapshot() -> dict[str, int]:
-    snapshot = {
-        f"prefix_cache/{k}": v for k, v in PREFIX_CACHE_STATS.items()
-    }
-    snapshot.update({f"shm/{k}": v for k, v in SHM_STATS.items()})
-    return snapshot
+    return {f"prefix_cache/{k}": v for k, v in PREFIX_CACHE_STATS.items()}
 
 
 def _run_cell(cell: SweepCell, attempt: int) -> CellOutcome:
@@ -212,16 +169,6 @@ def _run_cell(cell: SweepCell, attempt: int) -> CellOutcome:
     )
 
 
-def _install_manifests(
-    manifests: Mapping[tuple[object, ...], SubstrateManifest] | None,
-) -> None:
-    """Install (or clear, with ``None``) the signature -> manifest
-    routing table for the current task."""
-    _MANIFESTS.clear()
-    if manifests:
-        _MANIFESTS.update(manifests)
-
-
 def _peak_rss_kb() -> int:
     """This process's lifetime peak RSS in KiB (``ru_maxrss`` is
     already KiB on Linux, bytes on macOS -- normalised here)."""
@@ -232,33 +179,19 @@ def _peak_rss_kb() -> int:
 
 
 def run_cells(
-    cells: tuple[SweepCell, ...],
-    attempts: Mapping[int, int],
-    manifests: Mapping[tuple[object, ...], SubstrateManifest] | None = None,
+    cells: tuple[SweepCell, ...], attempts: Mapping[int, int]
 ) -> list[CellOutcome]:
     """Simulate one task's cells; one outcome per cell, index order.
 
     *attempts* maps cell index to the 0-based attempt number the
-    runner is on, which the chaos hook keys off.  *manifests* (when
-    the shared-memory layer is on) maps substrate signatures to
-    shared-segment manifests; cells whose signature appears there are
-    served from a zero-copy attached substrate instead of a local
-    build.  A failing cell does not stop the rest of the task -- its
-    outcome carries the error.
+    runner is on, which the chaos hook keys off.  A failing cell does
+    not stop the rest of the task -- its outcome carries the error.
     """
-    _install_manifests(manifests)
-    try:
-        return [
-            _run_cell(cell, attempts.get(cell.index, 0)) for cell in cells
-        ]
-    finally:
-        _install_manifests(None)
+    return [_run_cell(cell, attempts.get(cell.index, 0)) for cell in cells]
 
 
 def run_cells_serial(
-    cells: Sequence[SweepCell],
-    attempts: Mapping[int, int],
-    manifests: Mapping[tuple[object, ...], SubstrateManifest] | None = None,
+    cells: Sequence[SweepCell], attempts: Mapping[int, int]
 ) -> list[CellOutcome]:
     """Inline execution mirroring the process boundary.
 
@@ -266,6 +199,4 @@ def run_cells_serial(
     pool worker would receive them, so the serial path sees the same
     fresh config copies as the parallel one.
     """
-    return run_cells(
-        pickle.loads(pickle.dumps(tuple(cells))), attempts, manifests
-    )
+    return run_cells(pickle.loads(pickle.dumps(tuple(cells))), attempts)

@@ -1,18 +1,17 @@
-"""Cross-process determinism: jobs=1, pickled, and shared-memory
-dispatch are bit-identical over random sweep grids.
+"""Cross-process determinism: jobs=1 and jobs=2 dispatch are
+bit-identical over random sweep grids.
 
 The sweep engine's core promise is that *how* cells are dispatched --
-inline, to workers via pickled configs, or to workers attaching
-zero-copy shared-memory substrates -- cannot change a single bit of
-any result array.  Hypothesis draws small grids (runtime knobs only,
-so cells share a substrate signature and the shm layer actually
-engages) and checks all three paths against each other, with a second
+inline, or to pool workers that receive pickled configs and build
+their own substrates -- cannot change a single bit of any result
+array.  Hypothesis draws small grids (runtime knobs only, so cells
+share a substrate signature and the workers' substrate cache actually
+engages) and checks both paths against each other, with a second
 property doing the same under the runtime determinism sanitizer
-(``REPRO_SANITIZE=1``), whose freeze/counter machinery must not
-interact with read-only shared views.
+(``REPRO_SANITIZE=1``).
 
-Example counts are tiny: each example runs three sweeps (two of them
-spawning pools), so this is seconds per example -- the property
+Example counts are tiny: each example runs two sweeps (one of them
+spawning a pool), so this is seconds per example -- the property
 guards an invariant, it is not a fuzzer.
 """
 
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.scenario import diff_arrays, result_arrays
 from repro.scenario.config import ScenarioConfig
-from repro.sweep import SweepSpec, leaked_segments, run_sweep
+from repro.sweep import SweepSpec, run_sweep
 from repro.util import env
 
 _BASE = ScenarioConfig(
@@ -35,7 +34,7 @@ _BASE = ScenarioConfig(
 )
 
 #: Runtime-knob axes only: every cell keeps the base substrate
-#: signature, so the parent exports exactly one shared segment.
+#: signature, so a worker reuses one substrate across its cells.
 _grids = st.fixed_dictionaries(
     {},
     optional={
@@ -55,34 +54,22 @@ _grids = st.fixed_dictionaries(
 ).filter(lambda axes: sum(len(v) for v in axes.values()) >= 2)
 
 
-def _assert_three_way_identical(axes):
+def _assert_two_way_identical(axes):
     spec = SweepSpec.grid(_BASE, axes)
     serial = run_sweep(spec, jobs=1)
-    pickled = run_sweep(spec, jobs=2, shm=False)
-    shared = run_sweep(spec, jobs=2, shm=True)
-    assert not serial.failures
-    assert not pickled.failures and not shared.failures
-    assert pickled.shm_segments == 0
-    if spec.n_cells >= 2:
-        assert shared.shm_segments == 1
-        assert (
-            shared.routing_stats.get("shm/cell", 0) == spec.n_cells
-        )
+    pooled = run_sweep(spec, jobs=2)
+    assert not serial.failures and not pooled.failures
     for index in range(spec.n_cells):
-        want = result_arrays(serial.results[index])
         assert not diff_arrays(
-            result_arrays(pickled.results[index]), want
+            result_arrays(pooled.results[index]),
+            result_arrays(serial.results[index]),
         )
-        assert not diff_arrays(
-            result_arrays(shared.results[index]), want
-        )
-    assert leaked_segments() == []
 
 
 @settings(max_examples=3)
 @given(axes=_grids)
 def test_dispatch_paths_bit_identical(axes):
-    _assert_three_way_identical(axes)
+    _assert_two_way_identical(axes)
 
 
 @settings(max_examples=2)
@@ -94,7 +81,7 @@ def test_dispatch_paths_bit_identical_under_sanitizer(axes):
     previous = os.environ.get(env.SANITIZE)
     os.environ[env.SANITIZE] = "1"
     try:
-        _assert_three_way_identical(axes)
+        _assert_two_way_identical(axes)
     finally:
         if previous is None:
             del os.environ[env.SANITIZE]

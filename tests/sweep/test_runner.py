@@ -9,6 +9,7 @@ from repro.sweep import (
     SWEEP_START,
     SweepSpec,
     default_chunk_size,
+    leaked_segments,
     run_sweep,
 )
 
@@ -100,6 +101,23 @@ class TestEdgeGrids:
 
     def test_more_jobs_than_cells(self, two_cell_spec):
         self._check(two_cell_spec, jobs=4, chunk_size=1)
+
+
+class TestPoolTelemetry:
+    def test_worker_rss_telemetry_populated(self, two_cell_spec):
+        result = run_sweep(two_cell_spec, jobs=2)
+        assert result.worker_rss_kb
+        assert all(rss > 0 for rss in result.worker_rss_kb.values())
+
+    def test_shm_argument_is_inert(self, two_cell_spec, serial):
+        # The benchmark still passes shm= and reads shm_segments and
+        # leaked_segments(); they must keep working and mean nothing.
+        for shm in (True, False):
+            result = run_sweep(two_cell_spec, jobs=2, shm=shm)
+            assert result.shm_segments == 0
+            for a, b in zip(serial.results, result.results):
+                assert not diff_arrays(result_arrays(a), result_arrays(b))
+        assert leaked_segments() == []
 
 
 class TestStatefulControllers:

@@ -200,53 +200,6 @@ class TestResume:
         _assert_identical(resumed, reference)
 
 
-class TestSharedMemorySupervision:
-    def test_pool_kill_respawn_reattaches_bit_identical(
-        self, spec, reference, monkeypatch
-    ):
-        # Kill a worker mid-run with segments exported: the respawned
-        # pool's workers must reattach the *same* segments (the parent
-        # owns them across respawns) and the healed run stays
-        # bit-identical.
-        monkeypatch.setenv(CHAOS_ENV, "kill:cell1@0")
-        events = []
-        result = run_sweep(
-            spec,
-            jobs=2,
-            chunk_size=1,
-            shm=True,
-            progress=events.append,
-            backoff_base_s=0.0,
-        )
-        _assert_identical(result, reference)
-        assert any(
-            e.kind == CELL_RETRY and "worker died" in e.reason
-            for e in events
-        )
-        assert result.shm_segments == 1
-        # Both completed cells were served from shared substrates, and
-        # at least two attaches happened: the original pool's and the
-        # respawned pool's (fresh processes never inherit a mapping).
-        assert result.routing_stats.get("shm/cell", 0) == spec.n_cells
-        assert result.routing_stats.get("shm/attach", 0) >= 2
-        assert "shm/fallback" not in result.routing_stats
-
-    def test_pickled_control_matches_shm_healed_run(
-        self, spec, reference, monkeypatch
-    ):
-        monkeypatch.setenv(CHAOS_ENV, "kill:cell1@0")
-        result = run_sweep(
-            spec,
-            jobs=2,
-            chunk_size=1,
-            shm=False,
-            backoff_base_s=0.0,
-        )
-        _assert_identical(result, reference)
-        assert result.shm_segments == 0
-        assert "shm/cell" not in result.routing_stats
-
-
 class TestProgressTelemetry:
     def test_done_events_carry_pid_and_attempt(self, spec):
         events = []
